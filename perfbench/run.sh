@@ -2,7 +2,7 @@
 # Builds the workspace's `fleet_shard` worker and the benchmark from source,
 # then runs the benchmark with every argument passed through:
 #
-#   bash perfbench/run.sh --workload table1-sweep --seed 1 --seconds 10 --trace 0
+#   bash perfbench/run.sh --workload table1-sweep --seed 1 --seconds 20 --trace 0
 #
 # Run it from the repository root. Build output goes to $CARGO_TARGET_DIR
 # (default `.bench_build`); cargo's messages go to stderr so the last line of

@@ -137,7 +137,8 @@ impl HostProbe {
         }
     }
 
-    fn sample(&mut self) {
+    /// Samples the host now.
+    pub fn sample(&mut self) {
         let start = Instant::now();
         if self.threads == 1 {
             std::hint::black_box(probe_kernel(0.0));

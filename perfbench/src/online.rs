@@ -29,6 +29,9 @@ use zhuyi_runtime::{
 /// Uniform camera rate the scenarios start at.
 const START_FPR: f64 = 30.0;
 
+/// Passes over the nine scenarios that make up one run's inputs.
+const CYCLES: u64 = 4;
+
 const STREAM_TIMED: u64 = 11;
 const STREAM_SETUP: u64 = 12;
 const STREAM_TRACED: u64 = 13;
@@ -111,7 +114,7 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
     let mut host = HostProbe::start(1);
     // Set-up: runtime construction, input generation, and one warm-up
     // drive.
-    let ((runtime, mut scenarios), setup_s) = setup_median(&mut host, |_| {
+    let ((runtime, mut first), setup_s) = setup_median(&mut host, |_| {
         let runtime = runtime();
         let warm = cycle(WARM_SEED, STREAM_SETUP, 0);
         let timed = cycle(ctx.seed, STREAM_TIMED, 0);
@@ -120,34 +123,60 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
     })
     .expect("online setup cannot fail");
 
-    let mut step_ms = Vec::new();
-    let mut drive_s = 0.0;
+    // The run's inputs: CYCLES passes over the nine scenarios, each
+    // scenario with its own jitter seed.
+    let scenarios: Vec<Scenario> = (0..CYCLES)
+        .flat_map(|c| {
+            if c == 0 {
+                std::mem::take(&mut first)
+            } else {
+                cycle(ctx.seed, STREAM_TIMED, c)
+            }
+        })
+        .collect();
+    // Per control step, the fastest of its timings over all rounds; per
+    // drive, the fastest of its wall times.
+    let mut best_ms: Vec<Vec<f64>> = vec![Vec::new(); scenarios.len()];
+    let mut best_drive_s = vec![f64::INFINITY; scenarios.len()];
+    let mut steps_run = 0u64;
     let mut kept = Vec::new();
     let start = Instant::now();
-    let mut c = 0;
-    // Whole cycles only, so every run weighs the nine scenarios equally.
-    while ctx.more(start, c) {
-        if c > 0 {
-            scenarios = cycle(ctx.seed, STREAM_TIMED, c as u64);
-        }
-        for scenario in &scenarios {
-            host.tick();
-            let sim = simulation(scenario);
+    let mut rounds = 0;
+    // Whole rounds only, so every step has the same number of timings.
+    while ctx.more(start, rounds) {
+        for (k, scenario) in scenarios.iter().enumerate() {
+            let mut times = Vec::with_capacity(best_ms[k].len());
             let t = Instant::now();
-            let decisions = drive_with(sim, period, |sim| {
+            let decisions = drive_with(simulation(scenario), period, |sim| {
                 let t = Instant::now();
                 let d = runtime.control_step(sim, &ConstantAcceleration);
-                step_ms.push(t.elapsed().as_secs_f64() * 1e3);
+                times.push(t.elapsed().as_secs_f64() * 1e3);
                 d
             });
-            drive_s += t.elapsed().as_secs_f64();
-            if sampled(c) {
-                kept.push((scenario.clone(), decisions));
+            best_drive_s[k] = best_drive_s[k].min(t.elapsed().as_secs_f64());
+            // Between drives, so the probe sees the host the drives saw.
+            host.sample();
+            steps_run += times.len() as u64;
+            if rounds == 0 {
+                best_ms[k] = times;
+                if sampled(k) {
+                    kept.push((scenario, decisions));
+                }
+            } else {
+                // A deterministic drive makes the same steps every round.
+                report.gate(times.len() == best_ms[k].len(), || {
+                    format!("drive {}: rounds made different steps", scenario.name)
+                });
+                for (best, t) in best_ms[k].iter_mut().zip(times) {
+                    *best = best.min(t);
+                }
             }
         }
-        c += 1;
+        rounds += 1;
     }
-    report.attempted = step_ms.len() as u64;
+    let step_ms: Vec<f64> = best_ms.concat();
+    let drive_s: f64 = best_drive_s.iter().sum();
+    report.attempted = steps_run;
     let rss = peak_rss_mb();
 
     for (scenario, decisions) in &kept {
@@ -156,9 +185,9 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
 
     report.end_to_end(EndToEnd {
         ops_per_s: step_ms.len() as f64 / drive_s,
-        ops: "control steps per second of closed-loop driving",
+        ops: "control steps per second of closed-loop driving, fastest round per drive",
         latencies_ms: &step_ms,
-        op: "control_step_ms",
+        op: "control_step_ms, fastest round per step",
         tail: 0.99,
         setup_s,
         setup: "runtime + inputs + warm-up drive",
@@ -166,10 +195,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
         host: Some(&host),
     });
     report.info(
-        "online-check.cycles",
-        c as f64,
+        "online-check.rounds",
+        rounds as f64,
         "count",
-        "full passes over the nine scenarios",
+        format!("timed passes over {} drives", scenarios.len()),
     );
 }
 
@@ -285,7 +314,7 @@ fn traced_step(
 }
 
 pub fn trace(ctx: &Ctx, spans: &Spans, report: &mut Report) {
-    const MOVES: &str = "moves latency_ms_p50/_tail (control_step_ms) on online-check";
+    const MOVES: &str = "moves latency_ms_iqm/_tail (control_step_ms) on online-check";
     let cfg = config();
     let period = cfg.control_period.value();
     let runtime = runtime();

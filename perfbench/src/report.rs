@@ -58,7 +58,7 @@ impl Report {
         let n = e.latencies_ms.len();
         let tail_pct = e.tail * 100.0;
         let slowdown = e.host.map_or(1.0, HostProbe::slowdown);
-        let p50 = median(e.latencies_ms);
+        let iqm = interquartile_mean(e.latencies_ms);
         let tail = quantile(e.latencies_ms, e.tail);
         let timings = [
             (
@@ -69,11 +69,11 @@ impl Report {
                 e.ops.to_string(),
             ),
             (
-                "latency_ms_p50",
-                p50,
+                "latency_ms_iqm",
+                iqm,
                 slowdown,
                 "ms",
-                format!("{}: p50 of {n}", e.op),
+                format!("{}: mean of the middle half of {n}", e.op),
             ),
             (
                 "latency_ms_tail",
@@ -238,6 +238,20 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+/// The mean of the middle half of `values` (the interquartile mean);
+/// `NaN` for an empty slice.
+///
+/// The central latency metric uses it, not the median: when latencies
+/// fall in clusters with gaps between them, the median can sit in a gap
+/// and jump to the next cluster on a small shift in the mix, while the
+/// mean of the middle half moves in proportion.
+pub fn interquartile_mean(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.total_cmp(b));
+    let n = sorted.len();
+    mean(&sorted[n / 4..n - n / 4])
 }
 
 pub fn median(values: &[f64]) -> f64 {

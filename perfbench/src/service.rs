@@ -28,6 +28,12 @@ const SEEDS_PER_PLAN: u64 = 3;
 /// smaller than a step.
 const POLL: Duration = Duration::from_millis(10);
 
+/// Plans after which `peak_rss_mb` is read. The daemon keeps every
+/// plan's results for fetching, so its memory grows with the plans it has
+/// served; read after a fixed number, it does not depend on how fast the
+/// host ran the plans.
+const RSS_PLANS: usize = 128;
+
 const STREAM_TIMED: u64 = 21;
 const STREAM_SETUP: u64 = 22;
 const STREAM_TRACED: u64 = 23;
@@ -181,9 +187,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
     let mut jobs = 0usize;
     let mut busy_s = 0.0;
     let mut kept = Vec::new();
+    let mut rss = f64::NAN;
     let start = Instant::now();
     let mut i = 0;
-    while ctx.more(start, i) {
+    while ctx.more(start, i) || i < RSS_PLANS {
         host.tick();
         let plan = plan(ctx.seed, STREAM_TIMED, i as u64);
         let t = Instant::now();
@@ -205,8 +212,10 @@ pub fn run(ctx: &Ctx, report: &mut Report) {
             }
             Err(e) => report.gate(false, || format!("plan {i} failed: {e}")),
         }
+        if i == RSS_PLANS {
+            rss = peak_rss_mb();
+        }
     }
-    let rss = peak_rss_mb();
     gate_report(report, daemon.stop(), i + 1);
     for (plan, bytes) in &kept {
         let local = export_bytes(&run_sweep_with(plan, THREADS, ExecOptions::default()));
@@ -257,7 +266,7 @@ fn journal_append_us(ctx: &Ctx, plans: &[(SweepPlan, ResultStore)]) -> Result<Ve
 }
 
 pub fn trace(ctx: &Ctx, spans: &Spans, report: &mut Report) {
-    const P50: &str = "moves latency_ms_p50 (plan_ms_p50) on sweep-service";
+    const P50: &str = "moves latency_ms_iqm (plan_ms_p50) on sweep-service";
     const TAIL_MOVES: &str = "moves latency_ms_tail (plan_ms_p75) on sweep-service";
     let daemon = match warm_daemon(ctx, 0, false) {
         Ok(daemon) => daemon,
