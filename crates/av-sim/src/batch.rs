@@ -157,18 +157,6 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Folds another run's accounting into this one (multi-run sweeps).
-    pub fn merge(&mut self, other: &BatchStats) {
-        self.collided_lanes += other.collided_lanes;
-        self.certified_lanes += other.certified_lanes;
-        self.lane_ticks += other.lane_ticks;
-        self.ticks_retired += other.ticks_retired;
-        self.idle_lane_ticks += other.idle_lane_ticks;
-        self.prefilter_fallbacks += other.prefilter_fallbacks;
-        self.cert_attempts += other.cert_attempts;
-        self.cert_declines += other.cert_declines;
-    }
-
     /// Folds this accounting into the installed telemetry registry (a
     /// no-op without one), unifying batch cost accounting with the
     /// `zhuyi-telemetry` export schema. Called once per batched run by

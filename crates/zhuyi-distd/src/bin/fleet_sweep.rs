@@ -12,7 +12,7 @@
 //!               [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]
 //!               [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]
 //!               [--stride N] [--csv NAME] [--json NAME] [--traces]
-//!               [--record-traces] [--batch-lanes N] [--seed-blocks N] [--baseline]
+//!               [--record-traces] [--batch-lanes N] [--baseline]
 //!               [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]
 //!               [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]
 //!               [--max-job-failures K] [--verify-fraction F]
@@ -91,7 +91,6 @@ struct Args {
     traces: bool,
     record_traces: bool,
     batch_lanes: usize,
-    seed_blocks: usize,
     baseline: bool,
     dist: bool,
     listen: Option<String>,
@@ -153,7 +152,6 @@ impl Default for Args {
             traces: false,
             record_traces: false,
             batch_lanes: 0,
-            seed_blocks: 0,
             baseline: false,
             dist: false,
             listen: None,
@@ -243,9 +241,6 @@ fn parse_args() -> Result<Args, String> {
             "--record-traces" => args.record_traces = true,
             "--batch-lanes" => {
                 args.batch_lanes = dcli::parse_batch_lanes(&value("--batch-lanes")?)?
-            }
-            "--seed-blocks" => {
-                args.seed_blocks = dcli::parse_seed_blocks(&value("--seed-blocks")?)?
             }
             "--baseline" => args.baseline = true,
             "--dist" => args.dist = true,
@@ -355,7 +350,6 @@ fn parse_args() -> Result<Args, String> {
             "--stride",
             "--record-traces",
             "--batch-lanes",
-            "--seed-blocks",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
             return Err(format!(
@@ -379,7 +373,6 @@ fn parse_args() -> Result<Args, String> {
             "--stride",
             "--record-traces",
             "--batch-lanes",
-            "--seed-blocks",
         ];
         if let Some(flag) = seen.iter().find(|f| plan_flags.contains(&f.as_str())) {
             return Err(format!(
@@ -391,12 +384,9 @@ fn parse_args() -> Result<Args, String> {
     // `--rates` or `--fpr` quietly changes what safety question was asked.
     if args.connect.is_none() && args.record_traces {
         // Trace-recording MSF probes always take the per-rate classic
-        // path; a --batch-lanes or --seed-blocks alongside would be
-        // silently ignored.
-        for flag in ["--batch-lanes", "--seed-blocks"] {
-            if seen.iter().any(|f| f == flag) {
-                return Err(format!("{flag} does not apply with --record-traces"));
-            }
+        // path; a --batch-lanes alongside would be silently ignored.
+        if seen.iter().any(|f| f == "--batch-lanes") {
+            return Err("--batch-lanes does not apply with --record-traces".to_string());
         }
     }
     if args.connect.is_none() {
@@ -408,7 +398,6 @@ fn parse_args() -> Result<Args, String> {
                 "--predictor",
                 "--stride",
                 "--batch-lanes",
-                "--seed-blocks",
             ],
             Mode::PerCamera => &[
                 "--rates",
@@ -416,7 +405,6 @@ fn parse_args() -> Result<Args, String> {
                 "--predictor",
                 "--stride",
                 "--batch-lanes",
-                "--seed-blocks",
             ],
             // Analyze jobs always record (the estimator consumes the
             // trace), so --record-traces would be a silent no-op there.
@@ -426,7 +414,6 @@ fn parse_args() -> Result<Args, String> {
                 "--traces",
                 "--record-traces",
                 "--batch-lanes",
-                "--seed-blocks",
             ],
         };
         if let Some(flag) = seen.iter().find(|f| irrelevant.contains(&f.as_str())) {
@@ -501,7 +488,7 @@ fn usage() {
          \x20             [--scenario-dir DIR] [--variants N] [--workers N] [--rates 1,2,...,30]\n\
          \x20             [--fpr F] [--plans all|0,2] [--predictor oracle|cv|ca]\n\
          \x20             [--stride N] [--csv NAME] [--json NAME] [--traces]\n\
-         \x20             [--record-traces] [--batch-lanes N] [--seed-blocks N] [--baseline]\n\
+         \x20             [--record-traces] [--batch-lanes N] [--baseline]\n\
          \x20             [--dist] [--listen ADDR] [--checkpoint PATH] [--batch N]\n\
          \x20             [--connect ADDR] [--chaos-seed N] [--chaos-profile NAME]\n\
          \x20             [--max-job-failures K] [--verify-fraction F] [--fail-after N]\n\
@@ -511,9 +498,7 @@ fn usage() {
          MODES:\n\
          \x20 msf      search each instance's minimum safe rate over --rates (default);\n\
          \x20          --batch-lanes N sets the lockstep lanes per pass (0 = auto = the\n\
-         \x20          whole grid, 1 = the per-rate reference search; identical exports),\n\
-         \x20          --seed-blocks N groups up to N consecutive same-grid jobs into\n\
-         \x20          one seed-batched lockstep block (0/1 = per-job; identical exports)\n\
+         \x20          whole grid, 1 = the per-rate reference search; identical exports)\n\
          \x20 probe    run each instance closed-loop at --fpr and record collisions\n\
          \x20 percam   probe each instance against the heterogeneous per-camera rate\n\
          \x20          plans selected by --plans (catalog presets, see below)\n\
@@ -695,7 +680,6 @@ fn main() -> ExitCode {
     let options = ExecOptions {
         record_traces: args.record_traces,
         batch_lanes: args.batch_lanes,
-        seed_blocks: args.seed_blocks,
     };
     let start = Instant::now();
     let mut quarantine: Option<QuarantineManifest> = None;

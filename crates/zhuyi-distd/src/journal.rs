@@ -10,10 +10,10 @@
 //! the same damage anywhere earlier fails the load, because a mid-file
 //! hole means the file as a whole is not trustworthy.
 //!
-//! # File format (v1)
+//! # File format (v2)
 //!
 //! ```text
-//! magic   b"ZHUYIDJ1"                        (8 bytes)
+//! magic   b"ZHUYIDJ2"                        (8 bytes)
 //! records u32-LE length
 //!         u32-LE FNV-1a-32 payload checksum  (see `wire::payload_checksum`)
 //!         payload: 1-byte record tag + fields
@@ -39,6 +39,11 @@
 //! ones are rewritten — via the same temp-file + atomic-rename dance as
 //! checkpoint resume, so a crash mid-compaction leaves the old journal
 //! intact.
+//!
+//! v2 (`ZHUYIDJ2`) follows wire protocol v8, which shrank the encoded
+//! execution options inside `Submitted`; a v1 (`ZHUYIDJ1`) journal from
+//! an older daemon is refused with [`JournalError::Unsupported`] rather
+//! than misread.
 
 use crate::wire::{self, Reader, WireError};
 use std::collections::BTreeSet;
@@ -47,7 +52,10 @@ use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use zhuyi_fleet::{ExecOptions, JobResult, SweepJob};
 
-const MAGIC: &[u8; 8] = b"ZHUYIDJ1";
+const MAGIC: &[u8; 8] = b"ZHUYIDJ2";
+/// The pre-v8 format, whose `Submitted` records carry a wider
+/// execution-options encoding.
+const LEGACY_MAGIC: &[u8; 8] = b"ZHUYIDJ1";
 
 /// Errors raised while writing or loading a journal.
 #[derive(Debug)]
@@ -56,6 +64,8 @@ pub enum JournalError {
     Io(std::io::Error),
     /// The file is not a journal, or a non-tail record is corrupt.
     Corrupt(String),
+    /// The file is a journal in a format this daemon no longer reads.
+    Unsupported(String),
 }
 
 impl std::fmt::Display for JournalError {
@@ -63,6 +73,7 @@ impl std::fmt::Display for JournalError {
         match self {
             JournalError::Io(e) => write!(f, "journal i/o error: {e}"),
             JournalError::Corrupt(what) => write!(f, "corrupt journal: {what}"),
+            JournalError::Unsupported(what) => f.write_str(what),
         }
     }
 }
@@ -299,13 +310,19 @@ impl JournalWriter {
 ///
 /// # Errors
 ///
-/// [`JournalError::Corrupt`] for bad magic, a checksum failure on any
-/// non-tail record, or a checksum-valid record that still does not
-/// decode (writer/reader bug or forged file — tolerating it would hide
-/// real corruption).
+/// [`JournalError::Unsupported`] for a v1 journal; [`JournalError::Corrupt`]
+/// for any other bad magic, a checksum failure on any non-tail record,
+/// or a checksum-valid record that still does not decode (writer/reader
+/// bug or forged file — tolerating it would hide real corruption).
 pub fn load(path: &Path) -> Result<Vec<JournalRecord>, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    if bytes.starts_with(LEGACY_MAGIC) {
+        return Err(JournalError::Unsupported(
+            "unsupported journal format ZHUYIDJ1 (pre-v8 daemon); start with a fresh journal"
+                .into(),
+        ));
+    }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(JournalError::Corrupt("bad or missing header".into()));
     }
@@ -515,8 +532,7 @@ mod tests {
                 client: "client-b".into(),
                 options: ExecOptions {
                     record_traces: false,
-                    batch_lanes: 0,
-                    seed_blocks: 4,
+                    batch_lanes: 4,
                 },
                 jobs: vec![probe_job(0)],
             },
@@ -632,6 +648,26 @@ mod tests {
         let path = tmp("magic");
         std::fs::write(&path, b"not a journal").expect("clobber");
         assert!(matches!(load(&path), Err(JournalError::Corrupt(_))));
+    }
+
+    #[test]
+    fn v1_journal_is_refused_as_unsupported() {
+        let path = tmp("legacy");
+        // A v1 header followed by one well-framed record: the refusal
+        // comes from the header alone, before any record is decoded.
+        let payload = encode_record(&JournalRecord::Completed { fingerprint: 7 });
+        let mut bytes = LEGACY_MAGIC.to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).expect("write v1 journal");
+        match load(&path) {
+            Err(e @ JournalError::Unsupported(_)) => assert_eq!(
+                e.to_string(),
+                "unsupported journal format ZHUYIDJ1 (pre-v8 daemon); start with a fresh journal"
+            ),
+            other => panic!("v1 journal must be refused as unsupported, got {other:?}"),
+        }
     }
 
     /// Deterministic xorshift64* for the corruption fuzzers below.

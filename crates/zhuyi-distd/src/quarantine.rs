@@ -12,6 +12,7 @@
 //! assert it is empty on a clean pass.
 
 use zhuyi_bench::Table;
+use zhuyi_fleet::store::json_str;
 use zhuyi_fleet::SweepJob;
 
 use crate::wire::JobError;
@@ -139,22 +140,6 @@ fn sanitize(detail: &str) -> String {
         flat.push_str("...");
     }
     flat
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -276,57 +276,6 @@ pub fn min_safe_fpr_batched(
     }
 }
 
-/// [`min_safe_fpr_batched`] across **several scenario instances at
-/// once** — the seed axis batched on top of the rate axis. Every
-/// instance (typically: one jitter seed of one scenario family)
-/// becomes a lane *group* of one lockstep loop
-/// ([`av_scenarios::sweep::collides_seed_batched_with_stats`]); groups
-/// own their own jittered geometry and retire lane by lane, so a
-/// certificate on one seed's 30-FPR lane never waits on another seed's
-/// straggler.
-///
-/// `results[g]` is **identical** — answer and accounting — to
-/// `min_safe_fpr(&scenarios[g], candidates)`: the MRF falls out of the
-/// same highest-unsafe-candidate rule over the group's verdict row, and
-/// `sims_run` replays the per-rate binary-plus-verification schedule.
-/// Pinned by this module's tests and the cross-path equivalence harness
-/// (`tests/path_equivalence.rs`).
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty or not strictly ascending.
-pub fn min_safe_fpr_seed_batched(scenarios: &[Scenario], candidates: &[u32]) -> Vec<MsfSearch> {
-    assert!(!candidates.is_empty(), "empty candidate grid");
-    assert!(
-        candidates.windows(2).all(|w| w[0] < w[1]),
-        "candidate grid must be strictly ascending"
-    );
-    let n = candidates.len();
-    let rates: Vec<Fpr> = candidates.iter().map(|&c| Fpr(f64::from(c))).collect();
-    let mut contexts: Vec<SweepContext> = scenarios.iter().map(SweepContext::new).collect();
-    let (verdicts, _) =
-        av_scenarios::sweep::collides_seed_batched_with_stats(&mut contexts, &rates);
-    verdicts
-        .into_iter()
-        .map(|row| {
-            let safe: Vec<bool> = row.into_iter().map(|collided| !collided).collect();
-            let highest_unsafe = safe.iter().rposition(|&s| !s);
-            let mrf = match highest_unsafe {
-                None => Mrf::BelowMinimumTested,
-                Some(h) if h + 1 < n => Mrf::Fpr(candidates[h + 1]),
-                Some(_) => Mrf::AboveMaximumTested,
-            };
-            MsfSearch {
-                mrf,
-                sims_run: replayed_sims_run(&safe),
-                grid_size: n as u32,
-                grid_min: candidates[0],
-                grid_max: candidates[n - 1],
-            }
-        })
-        .collect()
-}
-
 /// The number of candidates the per-rate search would have simulated for
 /// this verdict table: the binary-localization probes plus the full
 /// verification sweep from the first-safe index up, memoized exactly as
@@ -383,33 +332,6 @@ mod tests {
                     "{id} seed {seed}: batched({lanes}) diverged"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn seed_batched_search_is_byte_equivalent_to_per_rate_search() {
-        // One mixed-geometry batch — straight and curved families,
-        // several seeds each, including the non-monotone curved seed 6 —
-        // must reproduce every per-instance MsfSearch record exactly.
-        let scenarios: Vec<Scenario> = [
-            (ScenarioId::CutOut, 0u64),
-            (ScenarioId::CutOut, 4),
-            (ScenarioId::CutOutFast, 0),
-            (ScenarioId::ChallengingCutInCurved, 6),
-            (ScenarioId::VehicleFollowing, 2),
-        ]
-        .into_iter()
-        .map(|(id, seed)| Scenario::build(id, seed))
-        .collect();
-        let batched = min_safe_fpr_seed_batched(&scenarios, &PAPER_RATE_GRID);
-        assert_eq!(batched.len(), scenarios.len());
-        for (scenario, got) in scenarios.iter().zip(&batched) {
-            let want = min_safe_fpr(scenario, &PAPER_RATE_GRID);
-            assert_eq!(
-                *got, want,
-                "{} seed {}: seed-batched search diverged",
-                scenario.name, scenario.seed
-            );
         }
     }
 

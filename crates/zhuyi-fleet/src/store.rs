@@ -438,7 +438,11 @@ impl ResultStore {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Encodes `s` as a quoted JSON string literal: quotes, backslashes and
+/// newlines get their short escapes, every other control character a
+/// `\uXXXX` escape. The distributed sweep's quarantine manifest uses it
+/// too, so both exports escape identically.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -102,7 +102,6 @@ fn record_traces_keeps_the_classic_path_whatever_batch_lanes_says() {
         ExecOptions {
             record_traces: true,
             batch_lanes: 0,
-            seed_blocks: 0,
         },
     );
     let per_rate = run_sweep_with(&plan, 1, options(1));

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use av_scenarios::catalog::ScenarioId;
 use zhuyi_fleet::{run_sweep_with, ExecOptions, SweepPlan};
 
-/// Scenarios with distinct actor mixes, plus jittered variants so seed
-/// blocks hold real geometry diversity.
+/// Scenarios with distinct actor mixes, plus jittered variants for real
+/// geometry diversity.
 fn mixed_plan() -> SweepPlan {
     SweepPlan::builder()
         .scenarios([
@@ -65,8 +65,8 @@ fn deterministic_section_is_shard_count_independent_and_repeatable() {
 
 #[test]
 fn deterministic_section_is_execution_path_independent() {
-    // The per-seed, rate-batched, and seed-batched paths walk different
-    // loops but execute the same job set; phase-tick totals differ by
+    // The per-seed and rate-batched paths walk different loops but
+    // execute the same job set; phase-tick totals differ by
     // construction (batched loops lap once per shared tick), so this
     // pin is narrower: counters that count *jobs* must agree. Certificate
     // declines legitimately differ (only batched paths attempt
@@ -92,13 +92,5 @@ fn deterministic_section_is_execution_path_independent() {
         per_job(ExecOptions::default()),
         reference,
         "rate-batched path recorded a different job set"
-    );
-    assert_eq!(
-        per_job(ExecOptions {
-            seed_blocks: 64,
-            ..ExecOptions::default()
-        }),
-        reference,
-        "seed-batched path recorded a different job set"
     );
 }
