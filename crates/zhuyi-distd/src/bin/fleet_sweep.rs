@@ -29,7 +29,8 @@
 //! **Distributed modes.** `--dist` shards the sweep across `--workers N`
 //! spawned `fleet_shard` OS processes (plus any external workers when
 //! `--listen HOST:PORT` is given); exports stay byte-identical to the
-//! single-process run. `--checkpoint PATH` makes the run resumable and
+//! single-process run. `--checkpoint PATH` makes the run resumable (the
+//! file is a one-plan journal; another plan's file is refused) and
 //! `--batch N` pins the shard size. `--connect HOST:PORT` turns this
 //! invocation into a *worker* that joins a coordinator elsewhere (the
 //! multi-host story: run `fleet_sweep --dist --listen` on one box and
@@ -548,8 +549,8 @@ fn usage() {
          Without --scenario-dir, scenario indexes follow Table-1 order\n\
          (0 = Cut-out ... 8 = Front & right 3).\n\
          Per-camera plan indexes follow catalog order (0 = front-heavy, 1 = side-heavy,\n\
-         2 = economy, 3 = rear-heavy). --csv/--json write into results/ via the bench\n\
-         harness. Distributed exports are byte-identical to single-process exports\n\
+         2 = economy, 3 = rear-heavy). --csv/--json write into results/ under the\n\
+         current directory. Distributed exports are byte-identical to single-process exports\n\
          (worker count, shard shape, crashes and resumes never change the output)."
     );
 }

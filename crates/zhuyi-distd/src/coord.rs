@@ -74,14 +74,14 @@
 //! exports stay byte-identical to a clean single-process run over the
 //! same surviving job set.
 
-use crate::checkpoint::{self, CheckpointError, CheckpointWriter};
 use crate::faultnet::{self, ChaosSpec};
+use crate::journal::{self, JournalError, JournalRecord, JournalWriter};
 use crate::quarantine::{QuarantineEntry, QuarantineManifest};
 use crate::wire::{self, Frame, JobError, JobErrorKind, WireError, PROTOCOL_VERSION};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -102,8 +102,9 @@ pub struct DistConfig {
     /// other processes or hosts via `--connect`. `None` binds an ephemeral
     /// loopback port used only by spawned workers.
     pub listen: Option<String>,
-    /// Checkpoint file: completed jobs append here and an existing,
-    /// fingerprint-matching file is resumed instead of re-simulated.
+    /// Checkpoint file, a one-plan [`crate::journal`]: completed jobs
+    /// append here and an existing, fingerprint-matching file is resumed
+    /// instead of re-simulated.
     pub checkpoint: Option<PathBuf>,
     /// Sweep-wide execution options, forwarded to every worker.
     pub options: ExecOptions,
@@ -258,8 +259,15 @@ pub enum DistError {
     NoWorkers(String),
     /// The worker binary could not be resolved.
     WorkerBinary(String),
-    /// Checkpoint file problems.
-    Checkpoint(CheckpointError),
+    /// The checkpoint journal could not be written or loaded.
+    Checkpoint(JournalError),
+    /// The checkpoint journal records a different (plan, options) pair.
+    PlanMismatch {
+        /// Fingerprint of the plan recorded in the file.
+        found: u64,
+        /// Fingerprint of the sweep being resumed.
+        expected: u64,
+    },
     /// The `abort_after_results` test hook fired.
     Aborted {
         /// Fresh results recorded before aborting.
@@ -288,6 +296,11 @@ impl fmt::Display for DistError {
             DistError::NoWorkers(what) => write!(f, "no workers available: {what}"),
             DistError::WorkerBinary(what) => write!(f, "{what}"),
             DistError::Checkpoint(e) => write!(f, "{e}"),
+            DistError::PlanMismatch { found, expected } => write!(
+                f,
+                "checkpoint fingerprint {found:#018x} does not match this sweep \
+                 ({expected:#018x}); it records a different plan or options"
+            ),
             DistError::Aborted { completed } => {
                 write!(f, "aborted by test hook after {completed} results")
             }
@@ -307,8 +320,8 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-impl From<CheckpointError> for DistError {
-    fn from(e: CheckpointError) -> Self {
+impl From<JournalError> for DistError {
+    fn from(e: JournalError) -> Self {
         DistError::Checkpoint(e)
     }
 }
@@ -440,7 +453,10 @@ struct Coordinator {
     done: BTreeMap<JobId, JobResult>,
     next_batch: u32,
     stats: DistStats,
-    checkpoint: Option<CheckpointWriter>,
+    checkpoint: Option<JournalWriter>,
+    /// The plan's [`journal::plan_fingerprint`], stamped on checkpoint
+    /// records.
+    fingerprint: u64,
     total: usize,
     /// Every plan job this run may execute, for requeues and the
     /// quarantine manifest.
@@ -543,7 +559,10 @@ impl Coordinator {
             return Ok(false);
         }
         if let Some(writer) = &mut self.checkpoint {
-            writer.append(&result)?;
+            writer.append(&JournalRecord::Result {
+                fingerprint: self.fingerprint,
+                result: Box::new(result.clone()),
+            })?;
         }
         self.stats.executed_jobs += 1;
         self.flight_note("result", worker, Some(id.0), String::new());
@@ -809,6 +828,41 @@ pub(crate) fn reap_children(children: &mut [ChildSlot]) {
     }
 }
 
+/// Opens `path` as this sweep's checkpoint: a journal holding one plan.
+/// An existing file that replays to this plan is compacted in place and
+/// its journaled results are returned for resuming; one that replays to
+/// no plan at all (magic only, or a torn first record) starts fresh.
+fn open_checkpoint(
+    path: &Path,
+    plan: &SweepPlan,
+    options: ExecOptions,
+    fingerprint: u64,
+) -> Result<(JournalWriter, Vec<JobResult>), DistError> {
+    if path.exists() {
+        let plans = journal::replay(&journal::load(path)?);
+        // One rule covers both a different sweep's checkpoint and a
+        // multi-plan daemon journal passed by mistake.
+        if let Some(other) = plans.iter().find(|p| p.fingerprint != fingerprint) {
+            return Err(DistError::PlanMismatch {
+                found: other.fingerprint,
+                expected: fingerprint,
+            });
+        }
+        if let Some(replayed) = plans.into_iter().next() {
+            let writer = JournalWriter::resume(path, &replayed.to_records())?;
+            return Ok((writer, replayed.results));
+        }
+    }
+    let mut writer = JournalWriter::create(path)?;
+    writer.append(&JournalRecord::Submitted {
+        fingerprint,
+        client: "run_distributed".into(),
+        options,
+        jobs: plan.jobs().to_vec(),
+    })?;
+    Ok((writer, Vec::new()))
+}
+
 /// Runs every job of `plan` across worker processes and merges the
 /// results; see the module docs for scheduling, fault handling, and the
 /// determinism invariant.
@@ -824,7 +878,7 @@ pub fn run_distributed(plan: &SweepPlan, config: &DistConfig) -> Result<DistRepo
         ));
     }
 
-    let fingerprint = checkpoint::plan_fingerprint(plan, config.options);
+    let fingerprint = journal::plan_fingerprint(plan, config.options);
     // Metrics serving needs a registry to read even when plain collection
     // was not requested.
     let telemetry_on = config.telemetry || config.metrics_listen.is_some();
@@ -851,6 +905,7 @@ pub fn run_distributed(plan: &SweepPlan, config: &DistConfig) -> Result<DistRepo
         next_batch: 0,
         stats: DistStats::default(),
         checkpoint: None,
+        fingerprint,
         total: plan.len(),
         jobs_by_id: BTreeMap::new(),
         failures: BTreeMap::new(),
@@ -863,16 +918,12 @@ pub fn run_distributed(plan: &SweepPlan, config: &DistConfig) -> Result<DistRepo
     };
 
     if let Some(path) = &config.checkpoint {
-        if path.exists() {
-            let loaded = checkpoint::load(path, fingerprint)?;
-            coordinator.stats.resumed_jobs = loaded.len();
-            coordinator.checkpoint = Some(CheckpointWriter::resume(path, &loaded, fingerprint)?);
-            for result in loaded {
-                coordinator.done.insert(result.job.id, result);
-            }
-        } else {
-            coordinator.checkpoint = Some(CheckpointWriter::create(path, fingerprint)?);
-        }
+        let (writer, resumed) = open_checkpoint(path, plan, config.options, fingerprint)?;
+        coordinator.stats.resumed_jobs = resumed.len();
+        coordinator.checkpoint = Some(writer);
+        coordinator
+            .done
+            .extend(resumed.into_iter().map(|r| (r.job.id, r)));
     }
 
     let pending_jobs: Vec<SweepJob> = plan

@@ -12,7 +12,7 @@
 //!   `kill -9` mid-sweep costs at most the jobs whose results had not yet
 //!   been journaled, never a queued plan.
 //! - **Idempotent submission.** Plans are identified by their client-side
-//!   fingerprint ([`crate::checkpoint::plan_fingerprint`]); a retried
+//!   fingerprint ([`crate::journal::plan_fingerprint`]); a retried
 //!   [`Frame::Submit`] matches the known fingerprint and is answered
 //!   `Accepted { deduped: true }` without enqueueing a second copy, so a
 //!   client that lost the first `Accepted` to a flaky link can retry

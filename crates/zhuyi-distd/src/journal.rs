@@ -1,14 +1,15 @@
-//! The daemon's durable write-ahead journal: every submitted plan, every
+//! The durable write-ahead journal: every submitted plan, every
 //! completed job result, and every lifecycle transition, flushed
-//! per-record so a `kill -9` of the daemon loses at most the record
-//! being appended.
+//! per-record so a `kill -9` loses at most the record being appended.
 //!
-//! This extends the checkpoint-v2 format (see [`crate::checkpoint`]) from
-//! one plan per file to a multi-plan log: the same per-record framing and
-//! the same damage policy — a torn record at the exact tail of the file
-//! (the daemon died mid-append) is tolerated and dropped on load, while
-//! the same damage anywhere earlier fails the load, because a mid-file
-//! hole means the file as a whole is not trustworthy.
+//! Two writers share it. The daemon keeps a multi-plan log of every
+//! plan it serves; a one-shot `--dist --checkpoint` run keeps a
+//! one-plan journal of its own sweep (see [`crate::coord::run_distributed`]).
+//! Both live under the same damage policy: a torn record at the exact
+//! tail of the file (the writer died mid-append) is tolerated and
+//! dropped on load, while the same damage anywhere earlier fails the
+//! load, because a mid-file hole means the file as a whole is not
+//! trustworthy.
 //!
 //! # File format (v2)
 //!
@@ -30,32 +31,43 @@
 //! 5 Fetched   {fingerprint u64}
 //! ```
 //!
-//! [`replay`] folds a loaded record stream back into per-plan state:
-//! a restarted daemon re-queues every plan without a `Completed` record,
-//! seeds the resumed sweep with the plan's journaled results (so finished
-//! jobs are never re-simulated), and retains completed-but-unfetched
-//! results for their clients. [`JournalWriter::resume`] then compacts the
-//! log — fully retired plans (fetched or cancelled) are dropped, live
-//! ones are rewritten — via the same temp-file + atomic-rename dance as
-//! checkpoint resume, so a crash mid-compaction leaves the old journal
-//! intact.
+//! Every plan is identified by its [`plan_fingerprint`]. [`replay`]
+//! folds a loaded record stream back into per-plan state: a restarted
+//! daemon re-queues every plan without a `Completed` record, seeds the
+//! resumed sweep with the plan's journaled results (so finished jobs are
+//! never re-simulated), and retains completed-but-unfetched results for
+//! their clients. [`JournalWriter::resume`] then compacts the log —
+//! fully retired plans (fetched or cancelled) are dropped, live ones are
+//! rewritten — via a temp file and an atomic rename, so a crash
+//! mid-compaction leaves the old journal intact.
 //!
 //! v2 (`ZHUYIDJ2`) follows wire protocol v8, which shrank the encoded
 //! execution options inside `Submitted`; a v1 (`ZHUYIDJ1`) journal from
-//! an older daemon is refused with [`JournalError::Unsupported`] rather
-//! than misread.
+//! an older daemon, and a `ZHUYIDC2` checkpoint from before checkpoints
+//! became journals, are refused with [`JournalError::Unsupported`]
+//! rather than misread.
 
 use crate::wire::{self, Reader, WireError};
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use zhuyi_fleet::{ExecOptions, JobResult, SweepJob};
+use zhuyi_fleet::{ExecOptions, JobResult, SweepJob, SweepPlan};
 
 const MAGIC: &[u8; 8] = b"ZHUYIDJ2";
-/// The pre-v8 format, whose `Submitted` records carry a wider
-/// execution-options encoding.
-const LEGACY_MAGIC: &[u8; 8] = b"ZHUYIDJ1";
+/// Formats `load` refuses by name: the pre-v8 journal (its `Submitted`
+/// records carry a wider execution-options encoding) and the pre-journal
+/// `--dist` checkpoint.
+const LEGACY_FORMATS: [(&[u8; 8], &str); 2] = [
+    (
+        b"ZHUYIDJ1",
+        "unsupported journal format ZHUYIDJ1 (pre-v8 daemon); start with a fresh journal",
+    ),
+    (
+        b"ZHUYIDC2",
+        "unsupported format ZHUYIDC2 (pre-journal `--dist` checkpoint); delete it and rerun",
+    ),
+];
 
 /// Errors raised while writing or loading a journal.
 #[derive(Debug)]
@@ -86,12 +98,34 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
+/// FNV-1a 64-bit over the plan's wire-encoded jobs plus the exec options
+/// — a plan's identity in the journal, in the daemon's submit dedup, and
+/// in a checkpoint's resume check. Folds one reused per-job buffer into
+/// the hash state, so memory stays O(1) in the plan size.
+pub fn plan_fingerprint(plan: &SweepPlan, options: ExecOptions) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let fold = |hash: &mut u64, bytes: &[u8]| {
+        for &b in bytes {
+            *hash ^= u64::from(b);
+            *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut buf = Vec::with_capacity(64);
+    for job in plan.jobs() {
+        buf.clear();
+        wire::put_job(&mut buf, job);
+        fold(&mut hash, &buf);
+    }
+    fold(&mut hash, &[u8::from(options.record_traces)]);
+    hash
+}
+
 /// One durable event in the daemon's plan lifecycle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A plan was admitted into the queue.
     Submitted {
-        /// The plan's identity ([`crate::checkpoint::plan_fingerprint`]).
+        /// The plan's identity ([`plan_fingerprint`]).
         fingerprint: u64,
         /// The submitting client's name (lease bookkeeping).
         client: String,
@@ -225,7 +259,6 @@ fn decode_record(payload: &[u8]) -> Result<JournalRecord, WireError> {
 #[derive(Debug)]
 pub struct JournalWriter {
     writer: BufWriter<File>,
-    path: PathBuf,
     records: usize,
 }
 
@@ -244,11 +277,7 @@ impl JournalWriter {
         let mut writer = BufWriter::new(file);
         writer.write_all(MAGIC)?;
         writer.flush()?;
-        Ok(Self {
-            writer,
-            path: path.to_path_buf(),
-            records: 0,
-        })
+        Ok(Self { writer, records: 0 })
     }
 
     /// Opens an existing journal for appending after `recovered` records
@@ -272,7 +301,6 @@ impl JournalWriter {
         // compacted file the journal in one step. The open handle follows
         // the inode, so subsequent appends land in `path`.
         std::fs::rename(&tmp, path)?;
-        writer.path = path.to_path_buf();
         Ok(writer)
     }
 
@@ -297,11 +325,6 @@ impl JournalWriter {
     pub fn records(&self) -> usize {
         self.records
     }
-
-    /// The file being written.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 /// Loads a journal's records, validating every record against its stored
@@ -310,18 +333,19 @@ impl JournalWriter {
 ///
 /// # Errors
 ///
-/// [`JournalError::Unsupported`] for a v1 journal; [`JournalError::Corrupt`]
+/// [`JournalError::Unsupported`] for a v1 journal or a `ZHUYIDC2`
+/// checkpoint (the file is only read, never modified); [`JournalError::Corrupt`]
 /// for any other bad magic, a checksum failure on any non-tail record,
 /// or a checksum-valid record that still does not decode (writer/reader
 /// bug or forged file — tolerating it would hide real corruption).
 pub fn load(path: &Path) -> Result<Vec<JournalRecord>, JournalError> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.starts_with(LEGACY_MAGIC) {
-        return Err(JournalError::Unsupported(
-            "unsupported journal format ZHUYIDJ1 (pre-v8 daemon); start with a fresh journal"
-                .into(),
-        ));
+    if let Some((_, why)) = LEGACY_FORMATS
+        .iter()
+        .find(|(magic, _)| bytes.starts_with(*magic))
+    {
+        return Err(JournalError::Unsupported((*why).into()));
     }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(JournalError::Corrupt("bad or missing header".into()));
@@ -644,6 +668,42 @@ mod tests {
     }
 
     #[test]
+    fn torn_tail_is_dropped_and_resume_rewrites_it() {
+        let path = tmp("torn-resume");
+        let mut w = JournalWriter::create(&path).expect("create");
+        w.append(&sample_records()[0]).expect("append submit");
+        for id in 0..2 {
+            w.append(&JournalRecord::Result {
+                fingerprint: 0xaa,
+                result: Box::new(probe_result(id, false)),
+            })
+            .expect("append result");
+        }
+        drop(w);
+        // Tear the last record mid-body.
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::write(&path, &bytes[..bytes.len() - 5]).expect("tear");
+        let plans = replay(&load(&path).expect("load survives torn tail"));
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].results, vec![probe_result(0, false)]);
+        // Resume compacts the file in place; a fresh load sees both the
+        // recovered record and anything appended after the rename.
+        let mut w = JournalWriter::resume(&path, &plans[0].to_records()).expect("resume");
+        w.append(&JournalRecord::Result {
+            fingerprint: 0xaa,
+            result: Box::new(probe_result(1, true)),
+        })
+        .expect("append after resume");
+        drop(w);
+        let reloaded = replay(&load(&path).expect("reload"));
+        assert_eq!(reloaded.len(), 1);
+        assert_eq!(
+            reloaded[0].results,
+            vec![probe_result(0, false), probe_result(1, true)]
+        );
+    }
+
+    #[test]
     fn bad_magic_is_refused() {
         let path = tmp("magic");
         std::fs::write(&path, b"not a journal").expect("clobber");
@@ -656,7 +716,7 @@ mod tests {
         // A v1 header followed by one well-framed record: the refusal
         // comes from the header alone, before any record is decoded.
         let payload = encode_record(&JournalRecord::Completed { fingerprint: 7 });
-        let mut bytes = LEGACY_MAGIC.to_vec();
+        let mut bytes = b"ZHUYIDJ1".to_vec();
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&wire::payload_checksum(&payload).to_le_bytes());
         bytes.extend_from_slice(&payload);
@@ -668,6 +728,28 @@ mod tests {
             ),
             other => panic!("v1 journal must be refused as unsupported, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn checkpoint_v2_file_is_refused_as_unsupported() {
+        let path = tmp("ckpt-v2");
+        // A pre-journal checkpoint header: magic + u64 plan fingerprint.
+        let mut bytes = b"ZHUYIDC2".to_vec();
+        bytes.extend_from_slice(&0x0123_4567_89ab_cdef_u64.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write checkpoint");
+        match load(&path) {
+            Err(e @ JournalError::Unsupported(_)) => assert_eq!(
+                e.to_string(),
+                "unsupported format ZHUYIDC2 (pre-journal `--dist` checkpoint); \
+                 delete it and rerun"
+            ),
+            other => panic!("ZHUYIDC2 file must be refused as unsupported, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read(&path).expect("reread"),
+            bytes,
+            "left untouched"
+        );
     }
 
     /// Deterministic xorshift64* for the corruption fuzzers below.
@@ -747,5 +829,37 @@ mod tests {
                 Err(e) => panic!("unexpected error on bit {bit}: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_separates_plans_and_options() {
+        let plan_a = SweepPlan::builder()
+            .scenarios([ScenarioId::CutOut])
+            .seeds([0])
+            .probe(4.0, false)
+            .build();
+        let plan_b = SweepPlan::builder()
+            .scenarios([ScenarioId::CutOut])
+            .seeds([1])
+            .probe(4.0, false)
+            .build();
+        let defaults = ExecOptions::default();
+        let recording = ExecOptions {
+            record_traces: true,
+            ..ExecOptions::default()
+        };
+        assert_eq!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_a, defaults),
+            "fingerprint must be deterministic"
+        );
+        assert_ne!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_b, defaults)
+        );
+        assert_ne!(
+            plan_fingerprint(&plan_a, defaults),
+            plan_fingerprint(&plan_a, recording)
+        );
     }
 }

@@ -12,7 +12,8 @@
 //! - [`coord`] — [`coord::run_distributed`]: a work-stealing shard
 //!   scheduler with per-worker in-flight tracking, crash detection (EOF +
 //!   heartbeat timeout) with shard reassignment and respawning, and
-//!   crash-safe [`checkpoint`]ing of completed jobs;
+//!   crash-safe checkpointing of completed jobs into a one-plan
+//!   [`journal`];
 //! - [`worker`] — the worker loop (`fleet_shard`, or `fleet_sweep
 //!   --connect` on another host) executing jobs through the fleet
 //!   engine's metrics-only [`zhuyi_fleet::exec`] path;
@@ -31,9 +32,10 @@
 //!   request-per-connection retries with exponential backoff and
 //!   deterministic jitter, riding the daemon's fingerprint dedup for
 //!   exactly-once admission over a flaky link;
-//! - [`journal`] — the daemon's append-only, per-record-flushed record
-//!   log (checkpoint-v2 framing: FNV-checksummed records, torn tails
-//!   tolerated, mid-file corruption refused).
+//! - [`journal`] — the one append-only, per-record-flushed record log
+//!   behind both the daemon and `--checkpoint` (FNV-checksummed records,
+//!   torn tails tolerated, mid-file corruption refused) and the
+//!   [`plan_fingerprint`] that identifies a plan in it.
 //!
 //! # Determinism
 //!
@@ -66,7 +68,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod cli;
 pub mod client;
 pub mod coord;
@@ -77,14 +78,13 @@ pub mod quarantine;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::{plan_fingerprint, CheckpointError, CheckpointWriter};
 pub use client::{run_via_daemon, submit_plan, ClientConfig, ClientError, SubmitOutcome};
 pub use coord::{
     default_worker_binary, run_distributed, DistConfig, DistError, DistReport, DistStats,
 };
 pub use daemon::{run_daemon, DaemonConfig, DaemonError, DaemonReport, DaemonStats};
 pub use faultnet::{ChaosProfile, ChaosSpec, FaultTransport};
-pub use journal::{JournalError, JournalRecord, JournalWriter};
+pub use journal::{plan_fingerprint, JournalError, JournalRecord, JournalWriter};
 pub use quarantine::{QuarantineEntry, QuarantineManifest};
 pub use wire::{Frame, JobError, JobErrorKind, PlanState, WireError, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerError, WorkerOptions, FAULT_EXIT_CODE};

@@ -124,8 +124,8 @@ impl From<std::io::Error> for WireError {
 
 /// FNV-1a (32-bit) over a frame payload — the per-frame integrity check
 /// written between the length prefix and the payload. Also used for
-/// checkpoint records, so both persisted and in-flight bytes share one
-/// corruption detector.
+/// [`crate::journal`] records, so both persisted and in-flight bytes
+/// share one corruption detector.
 pub fn payload_checksum(payload: &[u8]) -> u32 {
     let mut hash: u32 = 0x811c_9dc5;
     for &byte in payload {
@@ -283,7 +283,7 @@ pub enum Frame {
     /// answers [`Frame::Accepted`] with `deduped: true`.
     Submit {
         /// The client-side plan fingerprint
-        /// ([`crate::checkpoint::plan_fingerprint`] over `jobs` +
+        /// ([`crate::journal::plan_fingerprint`] over `jobs` +
         /// `options`) — the plan's identity for dedup, status, cancel
         /// and fetch.
         fingerprint: u64,
@@ -708,8 +708,8 @@ pub(crate) fn job(r: &mut Reader<'_>) -> Result<SweepJob, WireError> {
     })
 }
 
-/// Encodes one [`JobResult`] (also the checkpoint record format — see
-/// [`crate::checkpoint`]).
+/// Encodes one [`JobResult`] (also the body of a [`crate::journal`]
+/// `Result` record).
 pub fn put_job_result(out: &mut Vec<u8>, result: &JobResult) {
     put_job(out, &result.job);
     match &result.outcome {
@@ -812,19 +812,6 @@ pub(crate) fn job_result(r: &mut Reader<'_>) -> Result<JobResult, WireError> {
         other => return Err(WireError::Malformed(format!("outcome tag {other}"))),
     };
     Ok(JobResult { job, outcome })
-}
-
-/// Decodes a [`JobResult`] from exactly `bytes` (the checkpoint record
-/// format; the inverse of [`put_job_result`]).
-///
-/// # Errors
-///
-/// [`WireError::Malformed`] on truncated, trailing, or invalid bytes.
-pub fn decode_job_result(bytes: &[u8]) -> Result<JobResult, WireError> {
-    let mut r = Reader::new(bytes);
-    let result = job_result(&mut r)?;
-    r.finish()?;
-    Ok(result)
 }
 
 // --- frame codec --------------------------------------------------------
@@ -1465,7 +1452,9 @@ mod tests {
         for result in sample_results() {
             let mut bytes = Vec::new();
             put_job_result(&mut bytes, &result);
-            let back = decode_job_result(&bytes).expect("round trip");
+            let mut r = Reader::new(&bytes);
+            let back = job_result(&mut r).expect("round trip");
+            r.finish().expect("no trailing bytes");
             assert_eq!(back, result);
         }
     }

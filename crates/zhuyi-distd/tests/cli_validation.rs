@@ -404,3 +404,27 @@ fn scenario_registry_flags_are_validated() {
         "--scenario-dir",
     );
 }
+
+#[test]
+fn exports_land_under_the_current_directory() {
+    // Exports follow the working directory, not the tree the binary was
+    // built in.
+    let dir = std::env::temp_dir().join(format!("zhuyi-cli-cwd-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_fleet_sweep"))
+        .args(["--mode", "msf", "--scenarios", "5", "--variants", "1"])
+        .args(["--rates", "1,30", "--workers", "1", "--csv", "cwd.csv"])
+        .current_dir(&dir)
+        .output()
+        .expect("run fleet_sweep");
+    assert!(
+        out.status.success(),
+        "sweep failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        dir.join("results").join("cwd.csv").is_file(),
+        "the CSV must land in <cwd>/results: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}

@@ -1,13 +1,18 @@
 //! Distribution correctness: a multi-process sweep must export the very
 //! bytes a single-process sweep exports — with healthy workers, with a
-//! worker killed mid-sweep, and across a checkpoint abort/resume.
+//! worker killed mid-sweep, and across a checkpoint abort/resume. The
+//! checkpoint's refusals (another plan's file, a pre-journal file) and
+//! its fresh start on an empty journal are pinned here too.
 //!
 //! Workers are real OS processes (the `fleet_shard` binary cargo builds
 //! alongside these tests), talking to the coordinator over loopback TCP.
 
 use std::path::PathBuf;
 use zhuyi_distd::wire::{self, Frame};
-use zhuyi_distd::{run_distributed, DistConfig, DistError, PROTOCOL_VERSION};
+use zhuyi_distd::{
+    plan_fingerprint, run_distributed, DistConfig, DistError, JournalError, JournalRecord,
+    JournalWriter, PROTOCOL_VERSION,
+};
 use zhuyi_fleet::{
     run_sweep, ExecOptions, JobId, JobKind, JobSpec, RateSpec, ResultStore, SweepJob, SweepPlan,
 };
@@ -181,6 +186,106 @@ fn checkpoint_resume_completes_the_sweep_identically() {
     assert_eq!(fingerprint(&report.store), single);
     assert_eq!(report.stats.executed_jobs, 0);
     assert_eq!(report.stats.resumed_jobs, plan.len());
+}
+
+/// Writes a checkpoint journal holding one `Submitted` record per plan,
+/// as a coordinator (or, for several plans, a daemon) would have.
+fn write_journal(path: &std::path::Path, plans: &[&SweepPlan]) {
+    let mut writer = JournalWriter::create(path).expect("create journal");
+    for plan in plans {
+        writer
+            .append(&JournalRecord::Submitted {
+                fingerprint: plan_fingerprint(plan, ExecOptions::default()),
+                client: "test".into(),
+                options: ExecOptions::default(),
+                jobs: plan.jobs().to_vec(),
+            })
+            .expect("append submit");
+    }
+}
+
+fn probe_plan(seed: u64) -> SweepPlan {
+    SweepPlan::builder()
+        .scenarios([ScenarioId::CutOut])
+        .seeds([seed])
+        .probe(4.0, false)
+        .build()
+}
+
+#[test]
+fn checkpoint_of_another_plan_is_refused() {
+    let (plan_a, plan_b) = (probe_plan(0), probe_plan(1));
+    let fp_a = plan_fingerprint(&plan_a, ExecOptions::default());
+    let fp_b = plan_fingerprint(&plan_b, ExecOptions::default());
+    let dir = tmp_dir("mismatch");
+    // Plan A's checkpoint, and a daemon-style journal holding both plans:
+    // either way plan B must not merge into a file that records plan A.
+    for (name, plans) in [
+        ("a.ckpt", vec![&plan_a]),
+        ("ab.ckpt", vec![&plan_b, &plan_a]),
+    ] {
+        let path = dir.join(name);
+        write_journal(&path, &plans);
+        let before = std::fs::read(&path).expect("read");
+        let mut cfg = config();
+        cfg.checkpoint = Some(path.clone());
+        match run_distributed(&plan_b, &cfg) {
+            Err(e @ DistError::PlanMismatch { found, expected }) => {
+                assert_eq!((found, expected), (fp_a, fp_b), "{name}");
+                let msg = e.to_string();
+                assert!(msg.contains(&format!("{fp_a:#018x}")), "{msg}");
+                assert!(msg.contains(&format!("{fp_b:#018x}")), "{msg}");
+            }
+            other => panic!("{name}: expected a plan mismatch, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&path).expect("reread"), before, "{name}");
+    }
+}
+
+#[test]
+fn pre_journal_checkpoint_is_refused_and_left_untouched() {
+    let path = tmp_dir("ckpt-v2").join("old.ckpt");
+    let mut bytes = b"ZHUYIDC2".to_vec();
+    bytes.extend_from_slice(&0xfeed_f00d_u64.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write old checkpoint");
+    let mut cfg = config();
+    cfg.checkpoint = Some(path.clone());
+    match run_distributed(&probe_plan(0), &cfg) {
+        Err(DistError::Checkpoint(e @ JournalError::Unsupported(_))) => {
+            assert!(e.to_string().contains("ZHUYIDC2"), "{e}")
+        }
+        other => panic!("expected an unsupported-format refusal, got {other:?}"),
+    }
+    assert_eq!(std::fs::read(&path).expect("reread"), bytes);
+}
+
+#[test]
+fn magic_only_checkpoint_starts_fresh() {
+    let plan = SweepPlan::builder()
+        .scenarios([ScenarioId::CutOut, ScenarioId::VehicleFollowing])
+        .seeds([0])
+        .probe(4.0, false)
+        .build();
+    let path = tmp_dir("magic-only").join("sweep.ckpt");
+    // What a coordinator killed before its `Submitted` record leaves.
+    write_journal(&path, &[]);
+    let mut cfg = config();
+    cfg.checkpoint = Some(path.clone());
+    let report = run_distributed(&plan, &cfg).expect("fresh sweep");
+    assert_eq!(
+        fingerprint(&report.store),
+        fingerprint(&run_sweep(&plan, 1))
+    );
+    assert_eq!(report.stats.resumed_jobs, 0);
+    assert_eq!(report.stats.executed_jobs, plan.len());
+    // The file is now this plan's checkpoint, holding every result.
+    let plans = zhuyi_distd::journal::replay(&zhuyi_distd::journal::load(&path).expect("load"));
+    assert_eq!(plans.len(), 1);
+    assert_eq!(
+        plans[0].fingerprint,
+        plan_fingerprint(&plan, ExecOptions::default())
+    );
+    assert_eq!(plans[0].results.len(), plan.len());
 }
 
 /// Regression: a job revoked from a worker (stolen) and later handed
